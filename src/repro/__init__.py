@@ -32,9 +32,8 @@ or from the shell: ``python -m repro batch specs/*.json --data
 data.npz``.
 
 Many datasets and tenants at once go through the gateway
-(:mod:`repro.gateway`): a shared-memory dataset registry
-(:mod:`repro.registry`), spatially tiled membership builds
-(:mod:`repro.tiling`), bounded admission with per-tenant quotas, and
+(:mod:`repro.gateway`): a content-deduplicated dataset registry
+(:mod:`repro.registry`), bounded admission with per-tenant quotas, and
 a stdlib HTTP front door — ``python -m repro serve --port 8080``.
 With ``--store PATH`` the gateway journals every ticket to a durable
 sqlite store (:mod:`repro.ticketstore`): tickets survive restarts and
@@ -45,8 +44,7 @@ fault-injection layer (:mod:`repro.faults`, ``REPRO_FAULTS``).
 Module map: :mod:`repro.api` (sessions, reports, the builder),
 :mod:`repro.serve` (batched multi-spec service, fused simulation),
 :mod:`repro.gateway` (multi-tenant front door: back-pressure, asyncio,
-HTTP), :mod:`repro.registry` (shared-memory dataset store),
-:mod:`repro.tiling` (sharded membership builds),
+HTTP), :mod:`repro.registry` (read-only dataset store),
 :mod:`repro.ticketstore` (durable sqlite ticket journal),
 :mod:`repro.faults` (deterministic fault injection),
 :mod:`repro.spec` (declarative audit requests), :mod:`repro.core`
@@ -54,8 +52,8 @@ HTTP), :mod:`repro.registry` (shared-memory dataset store),
 :mod:`repro.engine` (shared parallel Monte Carlo engine),
 :mod:`repro.budget` (world-budget policies, sequential stopping),
 :mod:`repro.geometry` (regions and partitionings), :mod:`repro.stats`
-(statistic kernels), :mod:`repro.kernels` (backend-dispatched
-hot-path kernels: numpy or optional compiled numba, bit-identical),
+(statistic kernels), :mod:`repro.kernels` (the numpy hot-path
+kernels),
 :mod:`repro.fingerprint` (dataset content fingerprints for cache
 keys), :mod:`repro.index` (counting backends),
 :mod:`repro.baselines` (MeanVar, naive testing),
@@ -149,18 +147,12 @@ from .gateway import (
     serve_http,
 )
 from .index import GridIndex, KDTree, RegionMembership, StackedMembership
-from .kernels import (
-    active_backend,
-    numba_available,
-    set_backend,
-)
 from .registry import DatasetRegistry, SharedDataset
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec, RegionSpec
 from .ticketstore import TicketRecord, TicketStore, TicketStoreError
-from .tiling import TileStats, TilingPolicy, tiled_membership
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "AsyncAuditGateway",
@@ -221,10 +213,7 @@ __all__ = [
     "TicketRecoveryError",
     "TicketStore",
     "TicketStoreError",
-    "TileStats",
-    "TilingPolicy",
     "UnknownDatasetError",
-    "active_backend",
     "array_fingerprint",
     "audit",
     "circle_region_set",
@@ -236,7 +225,6 @@ __all__ = [
     "log_likelihood_ratio",
     "mean_variance",
     "naive_audit",
-    "numba_available",
     "paper_side_lengths",
     "partition_region_set",
     "predictive_equality",
@@ -248,9 +236,7 @@ __all__ = [
     "scan_centers",
     "select_non_overlapping",
     "serve_http",
-    "set_backend",
     "square_region_set",
-    "tiled_membership",
     "top_contributors",
     "__version__",
 ]

@@ -26,14 +26,13 @@ changed are re-run at each step
 
 ``serve`` boots the multi-tenant HTTP gateway
 (:class:`repro.gateway.GatewayHTTPServer`): each ``--data NAME=file``
-registers a named dataset in a shared-memory
+registers a named dataset in a
 :class:`repro.registry.DatasetRegistry`, ``--queue-size`` /
 ``--tenant-quota`` bound admission (rejections are HTTP 429 with
-``Retry-After``), ``--tiles NXxNY`` shards membership builds,
-``--store PATH`` journals every ticket to a sqlite file (tickets
-survive restarts; journalled-but-unsettled audits are re-run on boot,
-see :mod:`repro.ticketstore`), and SIGTERM/SIGINT drain in-flight
-audits before exit.
+``Retry-After``), ``--store PATH`` journals every ticket to a sqlite
+file (tickets survive restarts; journalled-but-unsettled audits are
+re-run on boot, see :mod:`repro.ticketstore`), and SIGTERM/SIGINT
+drain in-flight audits before exit.
 
 The ``.npz`` archive must hold ``coords`` (an ``(n, 2)`` float array)
 and the outcomes under ``outcomes`` (aliases ``y_pred``, ``labels`` or
@@ -53,7 +52,6 @@ import numpy as np
 
 from .api import AuditSession
 from .budget import BUDGET_KINDS
-from .kernels import BACKENDS, set_backend
 from .serve import AuditService
 from .spec import AuditSpec
 
@@ -160,11 +158,6 @@ def main(argv: list | None = None) -> int:
         "stops null simulation early once the verdict is decided)",
     )
     run.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto' = "
-        "numba if importable else numpy; results are bit-identical)",
-    )
-    run.add_argument(
         "--indent", type=int, default=2, help="JSON indent (default 2)"
     )
 
@@ -196,10 +189,6 @@ def main(argv: list | None = None) -> int:
     batch.add_argument(
         "--budget", choices=BUDGET_KINDS, default=None,
         help="override every spec's world-budget policy",
-    )
-    batch.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto')",
     )
     batch.add_argument(
         "--indent", type=int, default=2, help="JSON indent (default 2)"
@@ -240,10 +229,6 @@ def main(argv: list | None = None) -> int:
         help="class count for multinomial specs",
     )
     stream.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto')",
-    )
-    stream.add_argument(
         "--indent", type=int, default=2, help="JSON indent (default 2)"
     )
 
@@ -277,21 +262,8 @@ def main(argv: list | None = None) -> int:
         help="simulation worker count for every dataset session",
     )
     serve.add_argument(
-        "--tiles", default=None, metavar="NXxNY",
-        help="shard membership builds over an NXxNY tile grid "
-        "(e.g. 4x4)",
-    )
-    serve.add_argument(
-        "--tile-workers", type=int, default=None,
-        help="process count for the per-tile builds",
-    )
-    serve.add_argument(
         "--n-classes", type=int, default=None,
         help="class count applied to every --data dataset",
-    )
-    serve.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto')",
     )
     serve.add_argument(
         "--store", default=None, metavar="PATH",
@@ -309,12 +281,6 @@ def main(argv: list | None = None) -> int:
     validate.add_argument("spec", help="AuditSpec JSON file")
 
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        try:
-            set_backend(args.backend)
-        except ValueError as exc:
-            print(f"invalid backend: {exc}", file=sys.stderr)
-            return 2
     if args.command == "batch":
         return _run_batch(args)
     if args.command == "stream":
@@ -438,21 +404,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     boot the HTTP gateway, block until SIGTERM/SIGINT, drain."""
     from .gateway import AuditGateway, serve_http
     from .ticketstore import TicketStore, TicketStoreError
-    from .tiling import TilingPolicy
 
-    tiling = None
-    if args.tiles is not None:
-        try:
-            nx, _, ny = args.tiles.lower().partition("x")
-            tiling = TilingPolicy(
-                int(nx), int(ny), workers=args.tile_workers
-            )
-        except ValueError as exc:
-            print(
-                f"invalid --tiles {args.tiles!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
     store = None
     if args.store is not None:
         try:
@@ -465,7 +417,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             queue_size=args.queue_size,
             tenant_quota=args.tenant_quota,
             workers=args.workers,
-            tiling=tiling,
             store=store,
         )
     except ValueError as exc:

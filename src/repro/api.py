@@ -258,11 +258,6 @@ class AuditSession:
         Per-point event times (any monotone unit).  Required by the
         time-based :meth:`evict` selectors (``older_than``/
         ``window``); mask-based eviction works without them.
-    tiling : repro.tiling.TilingPolicy, optional
-        Shard cold membership builds across spatial tiles, optionally
-        on a process pool (see :mod:`repro.tiling`).  A pure
-        execution strategy: reports are bit-identical with and
-        without it; :meth:`shard_stats` reports the utilization.
 
     Attributes
     ----------
@@ -284,7 +279,6 @@ class AuditSession:
         n_classes: int | None = None,
         workers: int | None = None,
         timestamps: np.ndarray | None = None,
-        tiling=None,
     ):
         self.coords = np.asarray(coords, dtype=np.float64)
         if self.coords.ndim != 2 or self.coords.shape[1] != 2:
@@ -318,7 +312,6 @@ class AuditSession:
             )
         self.n_classes = None if n_classes is None else int(n_classes)
         self.workers = workers
-        self.tiling = tiling
         self._engines: dict = {}
         self._measured: dict = {}
         self._bound: dict = {}
@@ -329,7 +322,6 @@ class AuditSession:
             "index_builds": 0,
             "incremental_builds": 0,
             "worlds_simulated": 0,
-            "tiled_builds": 0,
         }
         self._stream_fp = self.dataset_fingerprint()
 
@@ -388,7 +380,7 @@ class AuditSession:
         engine = self._engines.get(key)
         if engine is None:
             coords, _ = self._measured_data(measure)
-            engine = MonteCarloEngine(coords, tiling=self.tiling)
+            engine = MonteCarloEngine(coords)
             self._engines[key] = engine
         return engine
 
@@ -478,39 +470,6 @@ class AuditSession:
             e.worlds_simulated for e in self._engines.values()
         )
 
-    @property
-    def tiled_builds(self) -> int:
-        """Cold membership builds that went through the spatial
-        tiling path (``tiling=``), across all engines.  Zero for
-        untiled sessions."""
-        return self._retired["tiled_builds"] + sum(
-            e.tiled_builds for e in self._engines.values()
-        )
-
-    def shard_stats(self) -> dict:
-        """Shard-utilization summary of the session's tiled builds.
-
-        Returns
-        -------
-        dict
-            ``tiling`` (the attached policy as a dict, or ``None``),
-            ``tiled_builds`` (cold builds that ran tiled), and
-            ``last_build`` (the most recent build's
-            :meth:`repro.tiling.TileStats.to_dict` payload, or
-            ``None`` before the first tiled build).
-        """
-        last = None
-        for engine in self._engines.values():
-            if engine.last_tile_stats is not None:
-                last = engine.last_tile_stats
-        return {
-            "tiling": (
-                None if self.tiling is None else self.tiling.to_dict()
-            ),
-            "tiled_builds": self.tiled_builds,
-            "last_build": None if last is None else last.to_dict(),
-        }
-
     # -- streaming ------------------------------------------------------
     #
     # Append/evict mutate the session's arrays AND migrate the cached
@@ -576,7 +535,6 @@ class AuditSession:
         self._retired["index_builds"] += engine.index_builds
         self._retired["incremental_builds"] += engine.incremental_builds
         self._retired["worlds_simulated"] += engine.worlds_simulated
-        self._retired["tiled_builds"] += engine.tiled_builds
 
     def _region_survives(
         self, design, delta_changed, old_box, new_box
@@ -1146,7 +1104,6 @@ def audit(
     n_classes: int | None = None,
     workers: int | None = None,
     timestamps: np.ndarray | None = None,
-    tiling=None,
 ) -> AuditBuilder:
     """Start a fluent audit of point-located outcomes.
 
@@ -1162,8 +1119,6 @@ def audit(
     ----------
     coords, outcomes, y_true, forecast, n_classes, workers, timestamps
         As in :class:`AuditSession`.
-    tiling : repro.tiling.TilingPolicy, optional
-        As in :class:`AuditSession`.
 
     Returns
     -------
@@ -1178,6 +1133,5 @@ def audit(
             n_classes=n_classes,
             workers=workers,
             timestamps=timestamps,
-            tiling=tiling,
         )
     )

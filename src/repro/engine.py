@@ -446,12 +446,6 @@ class MonteCarloEngine:
         ``1`` runs serially.  Results are bit-identical either way.
     cache_size : int, default 8
         Null distributions retained per membership index (LRU).
-    tiling : repro.tiling.TilingPolicy, optional
-        Shard cold membership builds across spatial tiles
-        (:func:`repro.tiling.tiled_membership`), optionally on a
-        process pool.  A pure execution strategy: the built matrix —
-        and hence every downstream result — is byte-identical to the
-        untiled build.
 
     Attributes
     ----------
@@ -475,10 +469,6 @@ class MonteCarloEngine:
         fused :meth:`null_distribution_multi` pass counts its world
         budget once however many designs it scores, so the counter
         measures exactly the work batching amortises.
-    tiled_builds : int
-        Cold membership builds that went through the spatial tiling
-        path; ``last_tile_stats`` holds the most recent build's
-        :class:`repro.tiling.TileStats`.
     """
 
     def __init__(
@@ -486,14 +476,10 @@ class MonteCarloEngine:
         coords: np.ndarray,
         workers: int | None = None,
         cache_size: int = 8,
-        tiling=None,
     ):
         self.coords = np.asarray(coords, dtype=np.float64)
         self.workers = workers
         self.cache_size = int(cache_size)
-        self.tiling = tiling
-        self.tiled_builds = 0
-        self.last_tile_stats = None
         self._member_cache: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary()
         )
@@ -519,30 +505,10 @@ class MonteCarloEngine:
         """
         member = self._member_cache.get(regions)
         if member is None:
-            member = self._cold_build(regions)
+            member = RegionMembership(regions, self.coords)
             self._member_cache[regions] = member
             self.index_builds += 1
         return member
-
-    def _cold_build(self, regions) -> RegionMembership:
-        """One cold membership build — tiled across spatial shards
-        when a :class:`repro.tiling.TilingPolicy` is attached and the
-        dataset is large enough, byte-identical either way."""
-        policy = self.tiling
-        if (
-            policy is not None
-            and len(self.coords) >= policy.min_points
-            and len(self.coords) > 0
-        ):
-            from .tiling import tiled_membership
-
-            member, stats = tiled_membership(
-                regions, self.coords, policy
-            )
-            self.tiled_builds += 1
-            self.last_tile_stats = stats
-            return member
-        return RegionMembership(regions, self.coords)
 
     def append_points(self, coords: np.ndarray) -> None:
         """Stream new observation locations into the engine, in place.

@@ -66,7 +66,7 @@ __all__ = [
 SITES = {
     "gateway.submit": "admission stall or death before queue checks",
     "serve.run_group": "worker death mid-way through a fused group",
-    "registry.attach": "shared-memory segment allocation failure",
+    "registry.attach": "dataset copy failure",
     "ticketstore.write": "journal write error (disk full, I/O error)",
     "ticketstore.after_write": "process death right after a journal "
     "commit (the chaos crash window)",

@@ -1,11 +1,11 @@
-"""Sharded multi-tenant audit gateway: one front door, many datasets.
+"""Multi-tenant audit gateway: one front door, many datasets.
 
 :class:`repro.serve.AuditService` serves batches over *one* dataset.
 This module is the layer above it — the deployment front door that a
 fleet of tenants talks to:
 
 * :class:`AuditGateway` routes each request by dataset name through a
-  :class:`repro.registry.DatasetRegistry` (shared-memory storage,
+  :class:`repro.registry.DatasetRegistry` (read-only storage,
   content-deduplicated) to a per-dataset service, with a **bounded
   admission queue** (full → :class:`GatewayFullError`, HTTP 429 with
   ``Retry-After``), optional per-tenant quotas
@@ -22,13 +22,12 @@ fleet of tenants talks to:
   ``GET``/``POST /datasets``, ``GET /stats``, ``GET /healthz``.
 
 Every execution path below the gateway is the existing deterministic
-machinery — fused service batches, SeedSequence-per-chunk simulation,
-optionally tile-sharded membership builds (:mod:`repro.tiling`) — so a
-report served over HTTP to one of fifty tenants is bit-identical to
-the same spec run alone in-process (asserted in
+machinery — fused service batches and SeedSequence-per-chunk
+simulation — so a report served over HTTP to one of fifty tenants is
+bit-identical to the same spec run alone in-process (asserted in
 ``tests/test_gateway.py``).  :meth:`AuditGateway.stats` surfaces
 queue depth and peak, admission rejections, per-tenant counters,
-end-to-end latency and per-dataset shard utilization for dashboards;
+end-to-end latency and per-dataset service counters for dashboards;
 ``tools/loadgen.py`` appends them as ``gateway_history`` rows to
 ``BENCH_serve.json``.
 
@@ -59,7 +58,6 @@ from .registry import DatasetRegistry
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec
 from .ticketstore import TicketRecord, TicketStore, TicketStoreError
-from .tiling import TilingPolicy
 
 __all__ = [
     "GatewayError",
@@ -317,7 +315,7 @@ class AuditGateway:
     The gateway owns a :class:`repro.registry.DatasetRegistry` (or
     wraps one you pass in) and lazily builds one
     :class:`repro.serve.AuditService` per registered dataset, sharing
-    the gateway-wide ``workers``/``tiling`` execution policy.
+    the gateway-wide ``workers`` execution policy.
     Admission is bounded: at most ``queue_size`` audits may be in
     flight (submitted, not yet resolved) across all tenants, and at
     most ``tenant_quota`` per tenant — excess submissions raise
@@ -328,7 +326,7 @@ class AuditGateway:
     >>> import numpy as np
     >>> from repro.spec import AuditSpec, RegionSpec
     >>> rng = np.random.default_rng(0)
-    >>> gw = AuditGateway(use_shared_memory=False)
+    >>> gw = AuditGateway()
     >>> _ = gw.register("demo", rng.random((80, 2)),
     ...                 rng.integers(0, 2, 80))
     >>> spec = AuditSpec(regions=RegionSpec.grid(3, 3), n_worlds=25,
@@ -349,12 +347,8 @@ class AuditGateway:
         gateway-wide bound.
     workers : int, optional
         Default simulation worker count for every per-dataset session.
-    tiling : TilingPolicy, optional
-        Shard membership builds spatially (:mod:`repro.tiling`).
     cache_size : int, default 128
         Per-dataset service report-cache size.
-    use_shared_memory : bool, default True
-        Passed to the owned registry when ``registry`` is omitted.
     store : TicketStore or str, optional
         Durable ticket journal (:mod:`repro.ticketstore`); a path
         opens one.  With a store, every submit is journalled before
@@ -370,9 +364,7 @@ class AuditGateway:
         queue_size: int = 64,
         tenant_quota: int | None = None,
         workers: int | None = None,
-        tiling: TilingPolicy | None = None,
         cache_size: int = 128,
-        use_shared_memory: bool = True,
         store: TicketStore | str | None = None,
     ):
         if int(queue_size) < 1:
@@ -385,16 +377,13 @@ class AuditGateway:
                 f"{tenant_quota!r}"
             )
         self.registry = (
-            registry
-            if registry is not None
-            else DatasetRegistry(use_shared_memory=use_shared_memory)
+            registry if registry is not None else DatasetRegistry()
         )
         self.queue_size = int(queue_size)
         self.tenant_quota = (
             None if tenant_quota is None else int(tenant_quota)
         )
         self.workers = workers
-        self.tiling = tiling
         self.cache_size = int(cache_size)
         if store is not None and not isinstance(store, TicketStore):
             store = TicketStore(store)
@@ -449,7 +438,7 @@ class AuditGateway:
 
     def service(self, dataset: str) -> AuditService:
         """The per-dataset service, built lazily over the registry's
-        shared views.
+        stored arrays.
 
         Parameters
         ----------
@@ -473,9 +462,7 @@ class AuditGateway:
             service = self._services.get(dataset)
             if service is None:
                 service = AuditService(
-                    shared.session(
-                        workers=self.workers, tiling=self.tiling
-                    ),
+                    shared.session(workers=self.workers),
                     cache_size=self.cache_size,
                 )
                 self._services[dataset] = service
@@ -915,7 +902,7 @@ class AuditGateway:
 
     def close(self) -> None:
         """Drain, close the ticket store (if any), then release the
-        registry's shared memory."""
+        registry's datasets."""
         self.drain()
         if self.store is not None:
             self.store.close()
@@ -936,7 +923,7 @@ class AuditGateway:
             (``latency_avg_ms`` / ``latency_max_ms``), ``draining``,
             per-``tenants`` buckets, the ``registry`` stats, one
             ``datasets`` entry per active service (its service
-            counters plus ``shard_stats`` utilization), and ``store``
+            counters), and ``store``
             — the ticket journal's counters plus ``write_errors`` and
             the boot-time ``recovery`` summary (``None`` when the
             gateway runs without a store).
@@ -977,11 +964,7 @@ class AuditGateway:
             }
         out["registry"] = self.registry.stats()
         out["datasets"] = {
-            name: {
-                **service.stats(),
-                "shard_stats": service.session.shard_stats(),
-            }
-            for name, service in services.items()
+            name: service.stats() for name, service in services.items()
         }
         if self.store is not None:
             out["store"] = {
@@ -1098,6 +1081,13 @@ class AsyncAuditGateway:
 # -- HTTP front door ---------------------------------------------------
 
 
+def _field(body: dict, name: str):
+    """A required request-body field; a missing one is a 400."""
+    if name not in body:
+        raise ValueError(f"{name}: missing from the request body")
+    return body[name]
+
+
 def _make_handler(gateway: AuditGateway, quiet: bool):
     """Build the request-handler class bound to one gateway."""
     from http.server import BaseHTTPRequestHandler
@@ -1125,6 +1115,12 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
 
         def _body(self) -> dict:
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                # rfile.read(-1) would block until the client closes.
+                self.close_connection = True
+                raise ValueError(
+                    f"Content-Length: expected >= 0, got {length}"
+                )
             raw = self.rfile.read(length) if length else b"{}"
             data = json.loads(raw.decode("utf-8"))
             if not isinstance(data, dict):
@@ -1146,15 +1142,9 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                     },
                     headers,
                 )
-            elif isinstance(exc, (ValueError, KeyError)):
+            elif isinstance(exc, ValueError):
                 self._send(
-                    400 if isinstance(exc, ValueError) else 404,
-                    {
-                        "error": str(
-                            exc.args[0] if exc.args else exc
-                        ),
-                        "type": type(exc).__name__,
-                    },
+                    400, {"error": str(exc), "type": type(exc).__name__}
                 )
             else:
                 self._send(
@@ -1202,7 +1192,13 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                 self._fail(exc)
 
         def _ticket(self, ticket_id: str, query: str):
-            ticket = gateway.ticket(ticket_id)
+            try:
+                ticket = gateway.ticket(ticket_id)
+            except KeyError as exc:
+                self._send(
+                    404, {"error": exc.args[0], "type": "KeyError"}
+                )
+                return
             wait = None
             for part in query.split("&"):
                 if part.startswith("wait="):
@@ -1239,9 +1235,9 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                 self._fail(exc)
 
         def _audit(self, body: dict):
-            spec = AuditSpec.from_dict(body["spec"])
+            spec = AuditSpec.from_dict(_field(body, "spec"))
             ticket = gateway.submit(
-                body["dataset"],
+                _field(body, "dataset"),
                 spec,
                 tenant=str(body.get("tenant", "default")),
             )
@@ -1268,10 +1264,10 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
 
         def _batch(self, body: dict):
             specs = [
-                AuditSpec.from_dict(s) for s in body["specs"]
+                AuditSpec.from_dict(s) for s in _field(body, "specs")
             ]
             reports = gateway.run_batch(
-                body["dataset"],
+                _field(body, "dataset"),
                 specs,
                 tenant=str(body.get("tenant", "default")),
             )
@@ -1286,9 +1282,9 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
 
         def _register(self, body: dict):
             dataset = gateway.register(
-                str(body["name"]),
-                np.asarray(body["coords"], dtype=np.float64),
-                np.asarray(body["outcomes"]),
+                str(_field(body, "name")),
+                np.asarray(_field(body, "coords"), dtype=np.float64),
+                np.asarray(_field(body, "outcomes")),
                 y_true=(
                     None
                     if body.get("y_true") is None
@@ -1338,7 +1334,7 @@ class GatewayHTTPServer:
         :meth:`AuditGateway.stats` / liveness.
 
     >>> import numpy as np
-    >>> gw = AuditGateway(use_shared_memory=False)
+    >>> gw = AuditGateway()
     >>> server = GatewayHTTPServer(gw, port=0)  # ephemeral port
     >>> server.start()
     >>> isinstance(server.port, int)

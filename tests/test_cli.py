@@ -72,25 +72,6 @@ def test_missing_spec_file_is_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
-def test_invalid_backend_is_exit_2(spec_file, npz_file, capsys):
-    # numba is not installed in the test environment, so requesting
-    # it explicitly must fail loudly (auto would fall back silently).
-    pytest.importorskip("repro.kernels")
-    from repro.kernels import numba_available
-
-    if numba_available():  # pragma: no cover - env without numba
-        pytest.skip("numba present; backend selection would succeed")
-    rc = main(
-        [
-            "run", str(spec_file),
-            "--data", str(npz_file),
-            "--backend", "numba",
-        ]
-    )
-    assert rc == 2
-    assert "invalid backend" in capsys.readouterr().err
-
-
 # -- run -------------------------------------------------------------
 
 
@@ -217,11 +198,6 @@ def test_stream_bad_spec_is_exit_2(npz_file, tmp_path):
 # -- serve -----------------------------------------------------------
 
 
-def test_serve_invalid_tiles_is_exit_2(capsys):
-    assert main(["serve", "--tiles", "banana"]) == 2
-    assert "invalid --tiles" in capsys.readouterr().err
-
-
 def test_serve_invalid_queue_size_is_exit_2(capsys):
     assert main(["serve", "--queue-size", "0"]) == 2
     assert "invalid gateway options" in capsys.readouterr().err
@@ -263,7 +239,6 @@ def test_serve_happy_path_boots_and_announces(
             "serve",
             "--data", f"city={npz_file}",
             "--queue-size", "8",
-            "--tiles", "2x2",
         ]
     )
     assert rc == 0

@@ -224,7 +224,6 @@ class TestSingleFaultTyped:
         clear_faults()
         gw = AuditGateway(
             queue_size=16,
-            use_shared_memory=False,
             store=tmp_path / "j.sqlite",
         )
         gw.register("city", unit_coords, biased_labels)
@@ -264,7 +263,7 @@ class TestSingleFaultTyped:
         self, unit_coords, biased_labels
     ):
         install_faults("registry.attach:at=1")
-        gw = AuditGateway(queue_size=4, use_shared_memory=True)
+        gw = AuditGateway(queue_size=4)
         try:
             with pytest.raises(FaultInjected):
                 gw.register("city", unit_coords, biased_labels)
@@ -327,7 +326,7 @@ def chaos_npz(tmp_path_factory, chaos_arrays):
 def golden_reports(chaos_arrays):
     """Per-spec payloads from an uninterrupted, storeless run."""
     coords, labels = chaos_arrays
-    gw = AuditGateway(queue_size=16, use_shared_memory=False)
+    gw = AuditGateway(queue_size=16)
     try:
         gw.register("city", coords, labels)
         return [

@@ -3,8 +3,11 @@
 import asyncio
 import json
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from repro.gateway import (
     UnknownDatasetError,
 )
 from repro.spec import AuditSpec, RegionSpec
-from repro.tiling import TilingPolicy
 
 from .conftest import N_WORLDS
 
@@ -40,7 +42,7 @@ def _payload(report) -> str:
 
 @pytest.fixture()
 def gateway(unit_coords, biased_labels):
-    gw = AuditGateway(queue_size=16, use_shared_memory=False)
+    gw = AuditGateway(queue_size=16)
     gw.register("unit", unit_coords, biased_labels)
     yield gw
     gw.registry.close()
@@ -62,7 +64,7 @@ class TestAdmission:
     def test_queue_full_rejects_with_retry_after(
         self, unit_coords, biased_labels
     ):
-        gw = AuditGateway(queue_size=2, use_shared_memory=False)
+        gw = AuditGateway(queue_size=2)
         gw.register("unit", unit_coords, biased_labels)
         t1 = gw.submit("unit", _spec(1))
         gw.submit("unit", _spec(2))
@@ -78,9 +80,7 @@ class TestAdmission:
     def test_tenant_quota_isolates_tenants(
         self, unit_coords, biased_labels
     ):
-        gw = AuditGateway(
-            queue_size=16, tenant_quota=1, use_shared_memory=False
-        )
+        gw = AuditGateway(queue_size=16, tenant_quota=1)
         gw.register("unit", unit_coords, biased_labels)
         gw.submit("unit", _spec(1), tenant="chatty")
         with pytest.raises(TenantQuotaError):
@@ -129,25 +129,7 @@ class TestBatchesAndStats:
         assert stats["latency_avg_ms"] > 0
         assert stats["tenants"]["alice"]["completed"] == 1
         assert stats["registry"]["datasets"] == 1
-        assert "shard_stats" in stats["datasets"]["unit"]
-
-    def test_shard_stats_surface_tiling(
-        self, unit_coords, biased_labels
-    ):
-        gw = AuditGateway(
-            use_shared_memory=False,
-            tiling=TilingPolicy(2, 2),
-        )
-        gw.register("unit", unit_coords, biased_labels)
-        gw.run("unit", _spec(1))
-        shard = gw.stats()["datasets"]["unit"]["shard_stats"]
-        assert shard["tiling"] == {
-            "nx": 2,
-            "ny": 2,
-            "workers": None,
-            "min_points": 0,
-        }
-        assert shard["tiled_builds"] >= 1
+        assert stats["datasets"]["unit"]["completed"] == 1
 
     def test_register_replacement_rebuilds_service(
         self, gateway, unit_coords, biased_labels
@@ -173,7 +155,7 @@ class TestConcurrency:
     ):
         """Many threads, many tenants, interleaved submits and
         redeems: every report must equal its solo run bit for bit."""
-        gw = AuditGateway(queue_size=64, use_shared_memory=False)
+        gw = AuditGateway(queue_size=64)
         gw.register("unit", unit_coords, biased_labels)
         seeds = [1, 2, 3, 4]
         solo = {}
@@ -209,7 +191,7 @@ class TestConcurrency:
         self, unit_coords, biased_labels
     ):
         """stats() must never tear while gathers run concurrently."""
-        gw = AuditGateway(queue_size=64, use_shared_memory=False)
+        gw = AuditGateway(queue_size=64)
         gw.register("unit", unit_coords, biased_labels)
         stop = threading.Event()
         torn: list = []
@@ -233,9 +215,7 @@ class TestConcurrency:
     def test_asyncio_gather_many_tenants(
         self, unit_coords, biased_labels
     ):
-        agw = AsyncAuditGateway(
-            queue_size=32, use_shared_memory=False
-        )
+        agw = AsyncAuditGateway(queue_size=32)
         agw.gateway.register("unit", unit_coords, biased_labels)
         solo = _payload(
             AuditSession(unit_coords, biased_labels).run(_spec(5))
@@ -254,9 +234,7 @@ class TestConcurrency:
         assert agw.stats()["completed"] == 4
 
     def test_asyncio_batch(self, unit_coords, biased_labels):
-        agw = AsyncAuditGateway(
-            queue_size=32, use_shared_memory=False
-        )
+        agw = AsyncAuditGateway(queue_size=32)
         agw.gateway.register("unit", unit_coords, biased_labels)
 
         async def main():
@@ -281,7 +259,7 @@ class TestDrain:
     def test_close_drains_and_releases(
         self, unit_coords, biased_labels
     ):
-        gw = AuditGateway(use_shared_memory=False)
+        gw = AuditGateway()
         gw.register("unit", unit_coords, biased_labels)
         gw.submit("unit", _spec(1))
         gw.close()
@@ -297,7 +275,7 @@ class TestDrain:
 
         from repro.gateway import serve_http
 
-        gw = AuditGateway(use_shared_memory=False)
+        gw = AuditGateway()
         gw.register("unit", unit_coords, biased_labels)
         seen: dict = {}
 
@@ -348,7 +326,7 @@ class _Client:
 
 @pytest.fixture()
 def http(unit_coords, biased_labels):
-    gw = AuditGateway(queue_size=2, use_shared_memory=False)
+    gw = AuditGateway(queue_size=2)
     server = GatewayHTTPServer(gw, port=0)
     server.start()
     client = _Client(server.url)
@@ -473,6 +451,25 @@ class TestHTTP:
             "/audit", {"dataset": "unit", "spec": {"n_worlds": -1}}
         )
         assert status == 400
+        # A missing body field is the client's fault, not a lookup miss.
+        status, body, _ = client.post("/audit", {"dataset": "unit"})
+        assert status == 400
+        assert "spec" in body["error"]
+        # A negative Content-Length must be refused, not read to EOF
+        # (which would hold the handler until the client hangs up).
+        url = urllib.parse.urlsplit(client.url)
+        conn = HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            start = time.monotonic()
+            conn.putrequest("POST", "/audit")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "Content-Length" in json.loads(resp.read())["error"]
+            assert time.monotonic() - start < 5
+        finally:
+            conn.close()
 
     def test_unknown_tenant_accounting(self, http):
         client, gw = http

@@ -153,6 +153,20 @@ class TestRegionMembership:
         want = [int(r.contains(points).sum()) for r in regions]
         assert list(member.counts) == want
 
+    @pytest.mark.parametrize("layout", ["clustered", "empty"])
+    def test_degenerate_point_sets_match_brute_force(self, regions, layout):
+        if layout == "clustered":
+            rng = np.random.default_rng(7)
+            pts = rng.random((200, 2)) * 0.2  # all in one corner
+            pts[0] = [0.95, 0.95]  # stretch the bbox
+        else:
+            pts = np.empty((0, 2))
+        member = RegionMembership(regions, pts)
+        want = [int(r.contains(pts).sum()) for r in regions]
+        assert list(member.counts) == want
+        assert 0 in want
+        assert member._matrix.shape == (len(regions), len(pts))
+
 
 class TestLargeCountExactness:
     """Batch recounts must stay exact past float32's 2**24 ceiling.

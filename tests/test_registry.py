@@ -1,4 +1,4 @@
-"""Shared-memory dataset registry: storage, dedup, safety rails."""
+"""Dataset registry: read-only storage, dedup, safety rails."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.api import AuditSession
 from repro.fingerprint import dataset_fingerprint
 from repro.registry import DatasetRegistry, SharedDataset
 from repro.spec import AuditSpec, RegionSpec
-from repro.tiling import TilingPolicy
 
 from .conftest import N_WORLDS
 
@@ -27,7 +26,6 @@ class TestSharedDataset:
     ):
         ds = SharedDataset("d", unit_coords, biased_labels)
         try:
-            assert ds.shared
             assert np.array_equal(ds.coords, unit_coords)
             assert np.array_equal(ds.outcomes, biased_labels)
             assert len(ds) == len(unit_coords)
@@ -72,13 +70,12 @@ class TestSharedDataset:
             ds.close()
 
     def test_private_copy_fallback(self, unit_coords, biased_labels):
-        ds = SharedDataset(
-            "d", unit_coords, biased_labels, use_shared_memory=False
-        )
-        assert not ds.shared
+        ds = SharedDataset("d", unit_coords, biased_labels)
+        assert not np.shares_memory(ds.coords, unit_coords)
+        assert not np.shares_memory(ds.outcomes, biased_labels)
         with pytest.raises(ValueError):
             ds.outcomes[0] = 5
-        ds.close()  # no segments; still idempotent
+        ds.close()  # idempotent
         ds.close()
 
     def test_rejects_bad_coords(self):
@@ -119,6 +116,30 @@ class TestDatasetRegistry:
         assert stats["unique"] == 1
         assert stats["deduped"] == 1
 
+    def test_registration_copies_inputs(
+        self, registry, unit_coords, biased_labels
+    ):
+        coords = unit_coords.copy()
+        outcomes = biased_labels.copy()
+        first = registry.register("a", coords, outcomes)
+        stored_coords = first.coords.copy()
+        stored_outcomes = first.outcomes.copy()
+        fingerprint = first.fingerprint
+        # Mutating the caller's arrays must not reach the stored copy.
+        coords[0] = [0.5, 0.5]
+        outcomes[:] = 1 - outcomes
+        assert np.array_equal(first.coords, stored_coords)
+        assert np.array_equal(first.outcomes, stored_outcomes)
+        assert first.fingerprint == fingerprint
+        assert first.fingerprint == dataset_fingerprint(
+            first.coords, first.outcomes
+        )
+        # The mutated content is new content: no dedup onto the first.
+        second = registry.register("b", coords, outcomes)
+        assert second is not first
+        assert second.fingerprint != fingerprint
+        assert registry.stats()["deduped"] == 0
+
     def test_by_fingerprint(self, registry, unit_coords, biased_labels):
         ds = registry.register("a", unit_coords, biased_labels)
         assert registry.by_fingerprint(ds.fingerprint) is ds
@@ -133,15 +154,8 @@ class TestDatasetRegistry:
         )
         direct = AuditSession(unit_coords, biased_labels).run(spec)
         via = registry.session("a").run(spec)
-        tiled = registry.session(
-            "a", tiling=TilingPolicy(2, 2, workers=2)
-        ).run(spec)
         expected = json.dumps(direct.to_dict(full=True), sort_keys=True)
         assert json.dumps(via.to_dict(full=True), sort_keys=True) == expected
-        assert (
-            json.dumps(tiled.to_dict(full=True), sort_keys=True)
-            == expected
-        )
 
     def test_remove_releases_orphaned_storage(
         self, registry, unit_coords, biased_labels
@@ -178,4 +192,3 @@ class TestDatasetRegistry:
         stats = registry.stats()
         assert stats["points"] == len(unit_coords)
         assert stats["bytes"] > 0
-        assert stats["shared_memory"] is True

@@ -6,8 +6,8 @@ path: every test here pins ``incremental == full rebuild`` bit for bit
 and null distributions — across all three outcome families, plus the
 cache-survival and counter semantics the streaming layer promises.
 
-The whole module carries the ``stream`` marker so CI can run it under
-each kernel backend (``pytest -m stream``).
+The whole module carries the ``stream`` marker, so the suite can be
+run on its own with ``pytest -m stream``.
 """
 
 import json

@@ -1,8 +1,8 @@
 """Kernel benchmark runner and perf-regression gate.
 
-Times every hot-path kernel (:mod:`repro.kernels`) on every available
-backend against a fixed synthetic workload, appends one per-commit
-row per backend into the ``kernel_history`` list of
+Times every hot-path kernel (:mod:`repro.kernels`) against a fixed
+synthetic workload, appends one per-commit row into the
+``kernel_history`` list of
 ``BENCH_engine.json`` (plus a fused-batch serving row into
 ``BENCH_serve.json``), and — with ``--check`` — compares the fresh
 row against the history to catch large regressions::
@@ -13,13 +13,12 @@ row against the history to catch large regressions::
 
 The regression gate mirrors the benchmark suite's ``BENCH_STRICT``
 discipline: a drop below ``--threshold`` (default 0.5x the median of
-prior same-backend rows) always *warns*, but only fails the process
+prior rows) always *warns*, but only fails the process
 when ``BENCH_STRICT=1`` is set (or ``--strict`` passed) — so shared
 1-core CI runners record history without flaking, while quiet
 machines enforce it.
 
-Each history row records the commit, UTC timestamp, backend, usable
-cores and per-kernel throughput in processed cells (region x world
+Each history row records the commit, UTC timestamp, usable cores and per-kernel throughput in processed cells (region x world
 entries) per second; the list is capped so the JSON stays small.
 """
 
@@ -110,7 +109,7 @@ def _workload() -> dict:
 
 def _time(fn, repeats: int) -> float:
     """Best-of-``repeats`` wall-clock seconds of one call (one warmup
-    call first, so numba JIT compilation never lands in a timing)."""
+    call first)."""
     fn()
     best = float("inf")
     for _ in range(repeats):
@@ -120,13 +119,11 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def bench_kernels(backend: str, repeats: int = 3) -> dict:
-    """Throughput of every hot-path kernel on one backend.
+def bench_kernels(repeats: int = 3) -> dict:
+    """Throughput of every hot-path kernel.
 
     Parameters
     ----------
-    backend : str
-        ``'numpy'`` or ``'numba'`` (must be available).
     repeats : int, default 3
         Timed repetitions per kernel (best taken).
 
@@ -136,7 +133,6 @@ def bench_kernels(backend: str, repeats: int = 3) -> dict:
         Kernel name -> processed cells (region x world entries) per
         second.
     """
-    kernels.set_backend(backend)
     w = _workload()
     n, world_p, world_P = w["n"], w["world_p"], w["world_P"]
     member, worlds = w["member"], w["worlds"]
@@ -174,15 +170,6 @@ def bench_kernels(backend: str, repeats: int = 3) -> dict:
     }
 
 
-def available_backends() -> list:
-    """Backends runnable on this machine (numpy always; numba when
-    importable)."""
-    backends = ["numpy"]
-    if kernels.numba_available():
-        backends.append("numba")
-    return backends
-
-
 def merge_history(path: Path, key: str, row: dict, cap: int = HISTORY_CAP) -> list:
     """Append ``row`` to the ``key`` list of a bench JSON file,
     preserving every other key and capping the list length.
@@ -208,7 +195,7 @@ def merge_history(path: Path, key: str, row: dict, cap: int = HISTORY_CAP) -> li
 def check_regression(
     history: list, threshold: float = 0.5
 ) -> list:
-    """Compare the latest row per backend against its history.
+    """Compare the latest row against its history.
 
     Parameters
     ----------
@@ -216,7 +203,7 @@ def check_regression(
         ``kernel_history`` rows (oldest first).
     threshold : float, default 0.5
         A kernel regresses when its latest ops/sec falls below
-        ``threshold`` times the median of the prior same-backend rows.
+        ``threshold`` times the median of the prior rows.
 
     Returns
     -------
@@ -224,31 +211,23 @@ def check_regression(
         One human-readable line per regression (empty = clean).
     """
     problems = []
-    latest_by_backend: dict = {}
-    for row in history:
-        latest_by_backend[row.get("backend", "?")] = row
-    for backend, latest in latest_by_backend.items():
-        prior = [
-            r
-            for r in history
-            if r.get("backend") == backend and r is not latest
+    if not history:
+        return problems
+    latest, prior = history[-1], history[:-1]
+    for name, ops in latest.get("kernels", {}).items():
+        baseline = [
+            r["kernels"][name]
+            for r in prior
+            if name in r.get("kernels", {})
         ]
-        if not prior:
+        if not baseline:
             continue
-        for name, ops in latest.get("kernels", {}).items():
-            baseline = [
-                r["kernels"][name]
-                for r in prior
-                if name in r.get("kernels", {})
-            ]
-            if not baseline:
-                continue
-            median = float(np.median(baseline))
-            if ops < threshold * median:
-                problems.append(
-                    f"{backend}:{name}: {ops:.0f} cells/s vs median "
-                    f"{median:.0f} (floor {threshold:.0%})"
-                )
+        median = float(np.median(baseline))
+        if ops < threshold * median:
+            problems.append(
+                f"{name}: {ops:.0f} cells/s vs median "
+                f"{median:.0f} (floor {threshold:.0%})"
+            )
     return problems
 
 
@@ -288,7 +267,7 @@ def bench_serve() -> dict:
 def main(argv: list | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
-        description="Benchmark the hot-path kernels per backend, "
+        description="Benchmark the hot-path kernels, "
         "record per-commit history, optionally gate on regressions."
     )
     parser.add_argument(
@@ -327,20 +306,16 @@ def main(argv: list | None = None) -> int:
     engine_json = ROOT / "BENCH_engine.json"
     serve_json = ROOT / "BENCH_serve.json"
 
-    history: list = []
-    for backend in available_backends():
-        row = {
-            "commit": commit,
-            "utc": stamp,
-            "backend": backend,
-            "cores": cores,
-            "kernels": bench_kernels(backend, repeats=args.repeats),
-        }
-        history = merge_history(engine_json, "kernel_history", row)
-        print(f"[{backend}] " + ", ".join(
-            f"{k}={v:,.0f} cells/s" for k, v in row["kernels"].items()
-        ))
-    kernels.set_backend("auto")
+    row = {
+        "commit": commit,
+        "utc": stamp,
+        "cores": cores,
+        "kernels": bench_kernels(repeats=args.repeats),
+    }
+    history = merge_history(engine_json, "kernel_history", row)
+    print("[kernels] " + ", ".join(
+        f"{k}={v:,.0f} cells/s" for k, v in row["kernels"].items()
+    ))
 
     if not args.skip_serve:
         serve_row = {

@@ -35,7 +35,6 @@ MODULES = [
     "repro.ticketstore",
     "repro.faults",
     "repro.registry",
-    "repro.tiling",
     "repro.spec",
     "repro.core",
     "repro.engine",
