@@ -338,9 +338,12 @@ class AuditSession:
         A BLAKE2b digest over every array that shapes audit results
         (coords, outcomes, y_true, forecast) plus ``n_classes`` — see
         :func:`repro.fingerprint.dataset_fingerprint`.  Recomputed
-        from the current array contents on every call, so it tracks
-        in-place mutation; :class:`repro.serve.AuditService` folds it
-        into report cache keys.
+        from the current array contents at every public call
+        (:meth:`run`, :meth:`resolve`, :meth:`region_set`, each
+        :class:`repro.serve.AuditService` pass), so it tracks in-place
+        mutation between calls; within one call it is computed once
+        and keys every cache lookup.  The service also folds it into
+        report cache keys.
 
         Returns
         -------
@@ -354,9 +357,10 @@ class AuditSession:
             n_classes=self.n_classes,
         )
 
-    def _measured_data(self, measure: str):
-        """(coords, outcomes) after applying a measure, cached."""
-        key = (self.dataset_fingerprint(), measure)
+    def _measured_data(self, measure: str, fp: str):
+        """(coords, outcomes) after applying a measure, cached under
+        the dataset fingerprint ``fp``."""
+        key = (fp, measure)
         cached = self._measured.get(key)
         if cached is None:
             mdef = MEASURES[measure]
@@ -374,22 +378,27 @@ class AuditSession:
             self._measured[key] = cached
         return cached
 
-    def _engine(self, measure: str) -> MonteCarloEngine:
-        """The engine over a measure's coordinate subset, cached."""
-        key = (self.dataset_fingerprint(), measure)
+    def _engine(
+        self, measure: str, fp: str | None = None
+    ) -> MonteCarloEngine:
+        """The engine over a measure's coordinate subset, cached
+        under ``fp`` (the current dataset fingerprint when omitted)."""
+        if fp is None:
+            fp = self.dataset_fingerprint()
+        key = (fp, measure)
         engine = self._engines.get(key)
         if engine is None:
-            coords, _ = self._measured_data(measure)
+            coords, _ = self._measured_data(measure, fp)
             engine = MonteCarloEngine(coords)
             self._engines[key] = engine
         return engine
 
-    def _family_bound(self, family: str, measure: str) -> dict:
+    def _family_bound(self, family: str, measure: str, fp: str) -> dict:
         """The family's validated bound state for a measure, cached."""
-        key = (self.dataset_fingerprint(), family, measure)
+        key = (fp, family, measure)
         bound = self._bound.get(key)
         if bound is None:
-            coords, outcomes = self._measured_data(measure)
+            coords, outcomes = self._measured_data(measure, fp)
             bound = FAMILIES[family].bind(
                 coords,
                 outcomes,
@@ -423,10 +432,18 @@ class AuditSession:
         -------
         RegionSet
         """
-        key = (self.dataset_fingerprint(), design, measure)
+        return self._region_set(
+            design, measure, self.dataset_fingerprint()
+        )
+
+    def _region_set(
+        self, design: RegionSpec, measure: str, fp: str
+    ) -> RegionSet:
+        """:meth:`region_set` under a given dataset fingerprint."""
+        key = (fp, design, measure)
         regions = self._region_sets.get(key)
         if regions is None:
-            self._measured_data(measure)  # validate the measure first
+            self._measured_data(measure, fp)  # validate the measure
             if design.kind == "grid":
                 # Grids are predetermined region families: without
                 # explicit bounds they cover the FULL dataset's
@@ -437,7 +454,7 @@ class AuditSession:
                 regions = design.build(self.coords)
             else:
                 # Scan centres adapt to the points actually audited.
-                coords, _ = self._measured_data(measure)
+                coords, _ = self._measured_data(measure, fp)
                 regions = design.build(coords)
             self._region_sets[key] = regions
         return regions
@@ -880,10 +897,14 @@ class AuditSession:
             When the session lacks data the spec needs, or the spec's
             region design yields no scannable regions.
         """
+        return self._resolve(spec, self.dataset_fingerprint())
+
+    def _resolve(self, spec: AuditSpec, fp: str) -> ResolvedSpec:
+        """:meth:`resolve` under a given dataset fingerprint."""
         self._check_spec(spec)
-        regions = self.region_set(spec.regions, spec.measure)
-        engine = self._engine(spec.measure)
-        bound = self._family_bound(spec.family, spec.measure)
+        regions = self._region_set(spec.regions, spec.measure, fp)
+        engine = self._engine(spec.measure, fp)
+        bound = self._family_bound(spec.family, spec.measure, fp)
         member = engine.membership(regions)
         kernel = FAMILIES[spec.family].kernel(
             bound, _parse_direction(spec.direction)
@@ -923,12 +944,21 @@ class AuditSession:
             y_true, ...), or the spec's region design yields no
             scannable regions.
         """
+        return self._run(spec, self.dataset_fingerprint(), null_max)
+
+    def _run(
+        self,
+        spec: AuditSpec,
+        fp: str,
+        null_max: np.ndarray | None = None,
+    ) -> AuditReport:
+        """:meth:`run` under a given dataset fingerprint."""
         self._check_spec(spec)
-        regions = self.region_set(spec.regions, spec.measure)
+        regions = self._region_set(spec.regions, spec.measure, fp)
         result = run_scan(
-            self._engine(spec.measure),
+            self._engine(spec.measure, fp),
             spec.family,
-            self._family_bound(spec.family, spec.measure),
+            self._family_bound(spec.family, spec.measure, fp),
             regions,
             n_worlds=spec.n_worlds,
             alpha=spec.alpha,

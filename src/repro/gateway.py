@@ -1096,6 +1096,11 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
         """JSON request handler over one gateway (module-private)."""
 
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket.  With Nagle on, a
+        # response written in two small segments holds the second one
+        # until the client ACKs the first, and a keep-alive client
+        # delays that ACK by ~40 ms; _send writes each response whole.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):
             if not quiet:
@@ -1110,8 +1115,14 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
             self.send_header("Content-Length", str(len(body)))
             for key, value in (headers or {}).items():
                 self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
+            if self.request_version == "HTTP/0.9":
+                self.wfile.write(body)  # 0.9 responses carry no head
+                return
+            # Status line, headers and body in one write (one segment
+            # when they fit), where end_headers() would flush the head
+            # on its own before the body.
+            self._headers_buffer.append(b"\r\n" + body)
+            self.flush_headers()
 
         def _body(self) -> dict:
             length = int(self.headers.get("Content-Length") or 0)
@@ -1208,7 +1219,15 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                     200, {"ticket": ticket.id, "done": False}
                 )
                 return
-            report = ticket.result(timeout=wait)
+            try:
+                report = ticket.result(timeout=wait)
+            except TimeoutError:
+                # An expired wait is a poll that found the audit still
+                # running; the ticket stays redeemable.
+                self._send(
+                    200, {"ticket": ticket.id, "done": False}
+                )
+                return
             self._send(
                 200,
                 {
@@ -1241,26 +1260,25 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                 spec,
                 tenant=str(body.get("tenant", "default")),
             )
-            if body.get("wait", True):
-                report = ticket.result(
-                    timeout=body.get("timeout")
-                )
-                self._send(
-                    200,
-                    {
-                        "ticket": ticket.id,
-                        "report": report.to_dict(full=True),
-                    },
-                )
-            else:
-                self._send(
-                    202,
-                    {
-                        "ticket": ticket.id,
-                        "dataset": ticket.dataset,
-                        "tenant": ticket.tenant,
-                    },
-                )
+            accepted = {
+                "ticket": ticket.id,
+                "dataset": ticket.dataset,
+                "tenant": ticket.tenant,
+            }
+            if not body.get("wait", True):
+                self._send(202, accepted)
+                return
+            try:
+                report = ticket.result(timeout=body.get("timeout"))
+            except TimeoutError:
+                # Admitted (and journalled) but still running: the
+                # client gets the ticket id to redeem it later.
+                self._send(202, accepted)
+                return
+            self._send(
+                200,
+                {"ticket": ticket.id, "report": report.to_dict(full=True)},
+            )
 
         def _batch(self, body: dict):
             specs = [
@@ -1321,10 +1339,12 @@ class GatewayHTTPServer:
     ``POST /audit``
         ``{"dataset", "spec", "tenant"?, "wait"?, "timeout"?}`` —
         200 with the report when ``wait`` (default), 202 with a
-        ticket id otherwise.  Queue-full and quota rejections return
-        429 with a ``Retry-After`` header; draining returns 503.
+        ticket id otherwise or when ``timeout`` seconds pass first.
+        Queue-full and quota rejections return 429 with a
+        ``Retry-After`` header; draining returns 503.
     ``GET /tickets/<id>?wait=<s>``
-        Redeem or poll a ticket (``wait=0`` polls without blocking).
+        Redeem or poll a ticket (``wait=0`` polls without blocking;
+        an expired wait answers like that poll, ``"done": false``).
     ``POST /batch``
         ``{"dataset", "specs": [...], "tenant"?}`` — all reports,
         one fused pass.

@@ -348,22 +348,24 @@ class AuditService:
 
     # -- execution -----------------------------------------------------
 
-    def _report_key(self, spec: AuditSpec) -> str | None:
+    @staticmethod
+    def _report_key(spec: AuditSpec, fp: str) -> str | None:
         """Result-cache key of a spec: ``dataset fingerprint : spec
-        hash``, or None for unseeded specs (never cached).  The
-        fingerprint is recomputed from the session's current array
-        contents, so a swapped or mutated dataset can never be
+        hash``, or None for unseeded specs (never cached).  ``fp`` is
+        computed from the session's current array contents once per
+        service pass, so a swapped or mutated dataset can never be
         answered with a report computed over the old one."""
         if spec.seed is None:
             return None
-        return (
-            f"{self.session.dataset_fingerprint()}:{spec.spec_hash()}"
-        )
+        return f"{fp}:{spec.spec_hash()}"
 
     def _execute(self, batch: list) -> None:
         """Run one drained batch: cache lookups, deduplication,
         resolution, fused group passes, ticket resolution.  Called
         under ``_gather_lock``."""
+        # One fingerprint keys the whole pass: caches, resolution and
+        # runs all see the dataset as it was when the pass began.
+        fp = self.session.dataset_fingerprint()
         # Tickets sharing a cache key this batch compute once; the
         # list is shared by reference, so late duplicates of a
         # not-yet-finished representative join its resolution.
@@ -371,7 +373,7 @@ class AuditService:
         groups: "OrderedDict[tuple, list]" = OrderedDict()
         for ticket in batch:
             spec = ticket.spec
-            key = self._report_key(spec)
+            key = self._report_key(spec, fp)
             if key is not None:
                 with self._lock:
                     cached = self._cache.get(key)
@@ -388,7 +390,7 @@ class AuditService:
                 peers[key] = [ticket]
             tickets = peers.get(key, [ticket])
             try:
-                resolved = self.session.resolve(spec)
+                resolved = self.session._resolve(spec, fp)
             except Exception as exc:  # resolution is per-spec
                 peers.pop(key, None)
                 self._finish(tickets, key, error=exc)
@@ -397,9 +399,9 @@ class AuditService:
                 (tickets, resolved)
             )
         for members in groups.values():
-            self._run_group(members)
+            self._run_group(members, fp)
 
-    def _run_group(self, members: list) -> None:
+    def _run_group(self, members: list, fp: str) -> None:
         """One fused pass: simulate the group's worlds once, score all
         member designs, assemble per-spec reports."""
         resolutions = [r for _, r in members]
@@ -449,7 +451,9 @@ class AuditService:
         except Exception as exc:  # group-level failure fails members
             for tickets, resolved in members:
                 self._finish(
-                    tickets, self._report_key(resolved.spec), error=exc
+                    tickets,
+                    self._report_key(resolved.spec, fp),
+                    error=exc,
                 )
             return
         # One critical section for the whole group's accounting, so a
@@ -464,9 +468,9 @@ class AuditService:
                 )
         for (tickets, resolved), null_max in zip(members, nulls):
             spec = resolved.spec
-            key = self._report_key(spec)
+            key = self._report_key(spec, fp)
             try:
-                report = self.session.run(spec, null_max=null_max)
+                report = self.session._run(spec, fp, null_max=null_max)
             except Exception as exc:
                 self._finish(tickets, key, error=exc)
                 continue
@@ -560,7 +564,7 @@ class AuditService:
         with self._stream_lock:
             return list(self._watched)
 
-    def _stream_key(self, spec: AuditSpec) -> str | None:
+    def _stream_key(self, spec: AuditSpec, fp: str) -> str | None:
         """Digest of everything a spec's report depends on, under the
         session's *current* data — the skip test of :meth:`advance`.
 
@@ -572,11 +576,12 @@ class AuditService:
         count for multinomial ones.  Equal keys across an advance mean
         a cold re-run would reproduce the previous report bit for bit.
         Unseeded specs get ``None``: they are deliberately
-        non-reproducible and always re-run.
+        non-reproducible and always re-run.  ``fp`` is the session's
+        current dataset fingerprint (computed once per advance).
         """
         if spec.seed is None:
             return None
-        coords, outcomes = self.session._measured_data(spec.measure)
+        coords, outcomes = self.session._measured_data(spec.measure, fp)
         parts = {
             "spec": spec.spec_hash(),
             "coords": array_fingerprint(coords),
@@ -680,7 +685,8 @@ class AuditService:
                 else:
                     self.session.evict(**{kind: value})
             specs = list(self._watched)
-            keys = [self._stream_key(spec) for spec in specs]
+            fp = self.session.dataset_fingerprint()
+            keys = [self._stream_key(spec, fp) for spec in specs]
             to_run = []
             for spec, key in zip(specs, keys):
                 entry = (
@@ -726,7 +732,11 @@ class AuditService:
         int
             Number of reports evicted.
         """
-        key = None if spec is None else self._report_key(spec)
+        key = (
+            None
+            if spec is None
+            else self._report_key(spec, self.session.dataset_fingerprint())
+        )
         with self._lock:
             if spec is None:
                 evicted = len(self._cache)

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -482,3 +483,144 @@ class TestHTTP:
             },
         )
         assert gw.stats()["tenants"]["acme"]["completed"] == 1
+
+
+class TestExpiredWaits:
+    """A wait that expires while another thread holds the gather lock
+    is a poll that found the audit running, never a 500 that loses
+    the ticket."""
+
+    def _solo(self, unit_coords, biased_labels) -> str:
+        solo = AuditSession(unit_coords, biased_labels).run(
+            AuditSpec.from_dict(SPEC_DICT)
+        )
+        return json.dumps(solo.to_dict(full=True), sort_keys=True)
+
+    def test_expired_ticket_wait_polls_not_done(
+        self, http, unit_coords, biased_labels
+    ):
+        client, gw = http
+        status, body, _ = client.post(
+            "/audit", {"dataset": "unit", "spec": SPEC_DICT, "wait": False}
+        )
+        assert status == 202
+        ticket = body["ticket"]
+        with gw.service("unit")._gather_lock:
+            status, body, _ = client.get(f"/tickets/{ticket}?wait=0.05")
+        assert status == 200
+        assert body == {"ticket": ticket, "done": False}
+        status, body, _ = client.get(f"/tickets/{ticket}")
+        assert status == 200 and body["done"] is True
+        assert json.dumps(body["report"], sort_keys=True) == self._solo(
+            unit_coords, biased_labels
+        )
+
+    def test_expired_audit_timeout_hands_out_the_ticket(
+        self, http, unit_coords, biased_labels
+    ):
+        client, gw = http
+        with gw.service("unit")._gather_lock:
+            status, body, _ = client.post(
+                "/audit",
+                {
+                    "dataset": "unit",
+                    "spec": SPEC_DICT,
+                    "tenant": "slow",
+                    "timeout": 0.05,
+                },
+            )
+        assert status == 202
+        assert body == {
+            "ticket": body["ticket"], "dataset": "unit", "tenant": "slow"
+        }
+        status, redeemed, _ = client.get(f"/tickets/{body['ticket']}")
+        assert status == 200 and redeemed["done"] is True
+        assert json.dumps(redeemed["report"], sort_keys=True) == (
+            self._solo(unit_coords, biased_labels)
+        )
+
+
+@pytest.fixture()
+def framed(unit_coords, biased_labels):
+    """A one-slot HTTP gateway whose handler records each accepted
+    socket's TCP_NODELAY option and every ``wfile.write``."""
+    gw = AuditGateway(queue_size=1)
+    gw.register("unit", unit_coords, biased_labels)
+    server = GatewayHTTPServer(gw, port=0)
+    handler = server._server.RequestHandlerClass
+    seen = {"nodelay": [], "writes": []}
+    setup = handler.setup
+
+    def recording_setup(self):
+        setup(self)
+        seen["nodelay"].append(
+            self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+        )
+        write = self.wfile.write
+
+        def recording_write(data):
+            seen["writes"].append(bytes(data))
+            return write(data)
+
+        self.wfile.write = recording_write
+
+    handler.setup = recording_setup
+    server.start()
+    yield server, seen
+    server.stop()
+    gw.registry.close()
+
+
+class TestResponseFraming:
+    def test_one_write_per_response_with_nodelay(self, framed):
+        """Every response leaves in one write on a TCP_NODELAY socket:
+        a head and body written apart stall a keep-alive client for
+        its delayed ACK (~40 ms)."""
+        server, seen = framed
+        conn = HTTPConnection(server.host, server.port, timeout=30)
+        audit = {"dataset": "unit", "spec": SPEC_DICT}
+        exchanges = [
+            ("GET", "/healthz", None, 200),
+            ("POST", "/audit", audit, 200),
+            ("POST", "/audit", dict(audit, wait=False), 202),
+            ("POST", "/audit", dict(audit, wait=False), 429),
+            ("POST", "/audit", {"dataset": "unit", "spec": {}}, 400),
+        ]
+        try:
+            for method, path, payload, expected in exchanges:
+                before = len(seen["writes"])
+                conn.request(
+                    method,
+                    path,
+                    body=None if payload is None else json.dumps(payload),
+                )
+                resp = conn.getresponse()
+                body = resp.read()
+                assert resp.status == expected, (path, body)
+                assert len(seen["writes"]) == before + 1, (path, expected)
+                head, _, wire_body = seen["writes"][-1].partition(
+                    b"\r\n\r\n"
+                )
+                assert head.startswith(f"HTTP/1.1 {expected} ".encode())
+                assert wire_body == body
+                assert int(resp.headers["Content-Length"]) == len(body)
+                if expected == 429:
+                    assert int(resp.headers["Retry-After"]) >= 1
+        finally:
+            conn.close()
+        # One keep-alive connection served every exchange.
+        assert len(seen["nodelay"]) == 1 and seen["nodelay"][0] != 0
+
+    def test_http09_request_gets_the_bare_body(self, framed):
+        server, seen = framed
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            data = b""
+            while chunk := sock.recv(4096):
+                data += chunk
+        assert json.loads(data) == {"ok": True, "draining": False}
+        assert seen["writes"] == [data]

@@ -540,3 +540,61 @@ class TestFusedWorkerRule:
             session_workers=None, spec_workers=[None, None],
         )
         assert got is None
+
+
+class TestFingerprintPerPass:
+    """The dataset is hashed once per public call or service pass, not
+    once per cache lookup (the in-place mutation guarantees live in
+    ``tests/test_fingerprint.py``)."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        import repro.api
+
+        original = repro.api._dataset_fingerprint
+        counter = {"n": 0}
+
+        def counting(*args, **kwargs):
+            counter["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.api, "_dataset_fingerprint", counting)
+        return counter
+
+    def test_one_per_fused_grid_batch(
+        self, unit_coords, biased_labels, calls
+    ):
+        # The four paper grids, fused in one service pass.
+        specs = [
+            AuditSpec(regions=RegionSpec.grid(nx, ny),
+                      n_worlds=N_WORLDS, seed=31)
+            for nx, ny in ((100, 50), (50, 25), (25, 12), (10, 5))
+        ]
+        service = AuditService(AuditSession(unit_coords, biased_labels))
+        calls["n"] = 0
+        reports = service.run_batch(specs)
+        assert calls["n"] == 1
+        assert service.stats()["fused_groups"] == 1
+        solo = AuditSession(unit_coords, biased_labels)
+        for spec, report in zip(specs, reports):
+            assert report.to_dict(full=True) == (
+                solo.run(spec).to_dict(full=True)
+            )
+
+    def test_one_per_session_run_and_resolve(
+        self, unit_coords, biased_labels, calls
+    ):
+        session = AuditSession(unit_coords, biased_labels)
+        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=32)
+        for method in (session.run, session.resolve, session.run):
+            calls["n"] = 0
+            method(spec)
+            assert calls["n"] == 1, method.__name__
+
+    def test_one_per_cache_hit(self, service, calls):
+        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=33)
+        first = service.run_batch([spec])[0]
+        calls["n"] = 0
+        assert service.run_batch([spec])[0] is first
+        assert calls["n"] == 1
+        assert service.stats()["report_cache_hits"] == 1

@@ -12,8 +12,11 @@ lifecycle over HTTP exactly as a tenant would:
    ``wait=0`` poll must report not-done, redeeming the tickets must
    free the queue;
 4. a fused batch (``POST /batch``) and a ``GET /stats`` sanity check;
-5. SIGTERM — the server must drain and exit 0;
-6. restart-and-refetch: a second server over the same ``--store``
+5. keep-alive latency: 20 sequential ``GET /healthz`` over one
+   connection must have a median under 20 ms (a response written in
+   two segments waits ~40 ms for the client's delayed ACK);
+6. SIGTERM — the server must drain and exit 0;
+7. restart-and-refetch: a second server over the same ``--store``
    journal must serve a pre-restart ticket byte-identically.
 
 Every subprocess is killed in a ``finally`` block — a failed
@@ -31,12 +34,16 @@ from __future__ import annotations
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +55,8 @@ N_POINTS = 800
 N_WORLDS = 64
 QUEUE_SIZE = 3
 ANNOUNCE_TIMEOUT = 90.0
+KEEPALIVE_REQUESTS = 20
+KEEPALIVE_MAX_MEDIAN_MS = 20.0
 SPEC = {
     "regions": {"kind": "grid", "nx": 4, "ny": 4},
     "n_worlds": N_WORLDS,
@@ -68,6 +77,26 @@ def request(url: str, method: str = "GET", payload=None, timeout=60):
 def expect(condition: bool, message: str) -> None:
     if not condition:
         raise SystemExit(f"SMOKE FAIL: {message}")
+
+
+def keepalive_median_ms(url: str) -> float:
+    """Median latency of sequential ``GET /healthz`` on one keep-alive
+    connection.  urllib opens a connection per request, so only a
+    reused connection sees a delayed-ACK stall."""
+    parts = urllib.parse.urlsplit(url)
+    conn = HTTPConnection(parts.hostname, parts.port, timeout=30)
+    times = []
+    try:
+        for _ in range(KEEPALIVE_REQUESTS):
+            start = time.perf_counter()
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            resp.read()
+            times.append((time.perf_counter() - start) * 1e3)
+            expect(resp.status == 200, f"healthz: {resp.status}")
+    finally:
+        conn.close()
+    return statistics.median(times)
 
 
 def read_announce(proc, timeout: float = ANNOUNCE_TIMEOUT) -> str:
@@ -281,11 +310,20 @@ def main() -> int:
                 f"journalled={stats['store']['tickets']}"
             )
 
-            # 5. graceful drain on SIGTERM.
+            # 5. no delayed-ACK stall on a keep-alive connection.
+            median = keepalive_median_ms(url)
+            expect(
+                median < KEEPALIVE_MAX_MEDIAN_MS,
+                f"keep-alive /healthz median {median:.1f} ms "
+                f">= {KEEPALIVE_MAX_MEDIAN_MS:.0f} ms",
+            )
+            print(f"[smoke] keep-alive /healthz median {median:.2f} ms")
+
+            # 6. graceful drain on SIGTERM.
             stop_server(proc)
             print("[smoke] SIGTERM drain clean")
 
-            # 6. restart-and-refetch: the journal must serve a
+            # 7. restart-and-refetch: the journal must serve a
             # pre-restart ticket byte-identically.
             proc2, url2 = start_server(
                 procs, data_path, "--store", store_path
